@@ -7,19 +7,20 @@
 //!
 //! Hosts shard across the deterministic worker pool (`--jobs N` fans hosts
 //! out *inside* each point; the outer sweep over points runs serially, so
-//! the pool is never oversubscribed). The default engine is epoch replay
-//! at fleet granularity: every `replay_stride`-th host is co-simulated
-//! exactly and the rest use a surrogate calibrated against those anchors —
-//! `--engine stepped|event` co-simulates every host exactly. Output is
-//! byte-identical for any `--jobs`. `--hosts N` sets the fleet size
-//! (default 1000), `--requests N` trims the simulated day to N scheduler
-//! periods, `--telemetry PATH` dumps the exact hosts' daemon/mm/ksm books
-//! as JSONL, and timing lands in `results/BENCH_fig14_fleet_energy.json`.
+//! the pool is never oversubscribed). The fleet is sampled by host:
+//! every `--sample-stride N`-th host (default 16) is co-simulated exactly
+//! and the rest use a surrogate calibrated against those anchors;
+//! `--sample-stride 1` co-simulates every host. `--engine stepped|event`
+//! selects the exact hosts' time-advance engine. Output is byte-identical
+//! for any `--jobs`. `--hosts N` sets the fleet size (default 1000),
+//! `--requests N` trims the simulated day to N scheduler periods,
+//! `--telemetry PATH` dumps the exact hosts' daemon/mm/ksm books as JSONL,
+//! and timing lands in `results/BENCH_fig14_fleet_energy.json`. A
+//! malformed or out-of-range `--hosts`/`--sample-stride` exits 2.
 
 use gd_bench::energy::{engine_name, MeasureOpts};
 use gd_bench::report::{f2, header, pct, row};
 use gd_bench::{provenance_line_with_engine, timed_sweep_jobs, SweepOpts, TelemetryOpts};
-use gd_dram::{EngineMode, EpochReplayCfg};
 use gd_fleet::{run_fleet, FleetOutcome};
 use gd_power::{ActivityProfile, DramPowerModel, PowerGating, SystemPowerModel};
 use gd_types::config::DramConfig;
@@ -56,31 +57,48 @@ const VARIANTS: [Variant; 3] = [
     },
 ];
 
-fn hosts_from_args() -> usize {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    args.iter()
-        .position(|a| a == "--hosts")
-        .and_then(|i| args.get(i + 1))
+const USAGE: &str = "usage: fig14_fleet_energy [--hosts 1..=10000] [--sample-stride 1..=10000] \
+                     [--requests N] [--jobs N] [--telemetry PATH] [--strict-validate] \
+                     [--engine stepped|event]";
+
+/// The value after `flag` as an integer in `1..=10_000`, or `default`
+/// when the flag is absent.
+///
+/// # Errors
+///
+/// A message naming the flag when its value is missing, malformed or out
+/// of range.
+fn count_flag(args: &[String], flag: &str, default: usize) -> Result<usize, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(default);
+    };
+    args.get(i + 1)
         .and_then(|v| v.parse::<usize>().ok())
-        .map(|h| h.clamp(1, 10_000))
-        .unwrap_or(1_000)
+        .filter(|n| (1..=10_000).contains(n))
+        .ok_or_else(|| format!("{flag} needs an integer in 1..=10000"))
 }
 
 fn main() {
     let sw = SweepOpts::from_args();
     let topts = TelemetryOpts::from_args();
     let mopts = MeasureOpts::from_args();
-    let hosts = hosts_from_args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let count = |flag, default| {
+        count_flag(&args, flag, default).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{USAGE}");
+            std::process::exit(2);
+        })
+    };
+    let hosts = count("--hosts", 1_000);
+    let stride = count("--sample-stride", 16);
     let duration_s = sw
         .requests
         .map(|n| (n as u64 * 300).clamp(3_600, 86_400))
         .unwrap_or(86_400);
-    // Fleet default is the sampled replay engine (the exact engines
-    // co-simulate every host and take ~stride× longer); `--engine` pins it.
-    let engine = if mopts.engine_explicit {
-        mopts.engine
-    } else {
-        EngineMode::EpochReplay(EpochReplayCfg::default())
+    // Provenance names the stride whenever hosts are sampled.
+    let engine_label = match stride {
+        1 => engine_name(mopts.engine).to_string(),
+        n => format!("{}+stride{n}(sampled)", engine_name(mopts.engine)),
     };
     let verify = mopts.strict_validate.then_some(gd_verify::Mode::Strict);
     println!(
@@ -89,9 +107,9 @@ fn main() {
             "fig14_fleet_energy",
             &format!(
                 "azure-cluster hosts={hosts} 256GB/host block=1GB seed=42 \
-                 duration_s={duration_s} stride=16 utils=0.50..0.95 x base/gd/gd+ksm"
+                 duration_s={duration_s} stride={stride} utils=0.50..0.95 x base/gd/gd+ksm"
             ),
-            engine_name(engine),
+            &engine_label,
             &sw,
         )
     );
@@ -123,9 +141,10 @@ fn main() {
                 placement: v.placement,
                 ksm: v.ksm,
                 greendimm: v.greendimm,
+                sample_stride: stride,
                 ..FleetConfig::paper_1k()
             };
-            run_fleet(&cfg, engine, sw.jobs, verify, topts.enabled()).expect("fleet run")
+            run_fleet(&cfg, mopts.engine, sw.jobs, verify, topts.enabled()).expect("fleet run")
         },
     );
     if topts.enabled() {
@@ -203,10 +222,7 @@ fn main() {
         );
     }
     let exact = runs[0].exact_hosts;
-    println!(
-        "\n{hosts} hosts/point, {exact} co-simulated exactly per point ({})",
-        engine_name(engine)
-    );
+    println!("\n{hosts} hosts/point, {exact} co-simulated exactly per point ({engine_label})");
     println!("mean scheduled utilization at cap 0.80 (gd): {}", {
         let gd = &runs[3 * UTILS.iter().position(|&u| u == 0.80).unwrap() + 1];
         pct(gd.mean_utilization())

@@ -3,7 +3,7 @@
 use gd_baselines::{
     GovernorContext, GovernorOutcome, GreenDimmGovernor, Pasr, PowerGovernor, RamZzz, SrfOnly,
 };
-use gd_dram::{EngineMode, EpochReplayCfg, LowPowerPolicy, MemorySystem, TimingChecker};
+use gd_dram::{EngineMode, LowPowerPolicy, MemorySystem, TimingChecker};
 use gd_power::{memspec_for, ActivityProfile, MemSpec, SystemPowerModel};
 use gd_types::config::{DramConfig, InterleaveMode, MemSpecKind};
 use gd_types::{Cycles, GdError, Result};
@@ -18,14 +18,9 @@ pub struct MeasureOpts {
     /// ([`gd_baselines::sanity`]); any violation aborts the figure.
     /// Enabled by `--strict-validate` on the figure binaries.
     pub strict_validate: bool,
-    /// Time-advance engine for the cycle-level runs. Defaults to the exact
-    /// event-driven engine; `EpochReplay` trades a bounded sampling error
-    /// for speed and is flagged in provenance headers.
+    /// Time-advance engine for the cycle-level runs. Defaults to the
+    /// event-driven engine; both engines are exact.
     pub engine: EngineMode,
-    /// True when the user pinned the engine via `--engine`. Binaries with a
-    /// non-default engine (e.g. the fleet figure defaults to epoch replay)
-    /// only override the engine when this is false.
-    pub engine_explicit: bool,
     /// Memory-generation backend for the figure's platform config and power
     /// model (`--memspec ddr4|ddr5|lpddr4-pasr`). Defaults to the paper's
     /// DDR4 platform, whose outputs are bit-identical to the pre-backend
@@ -33,77 +28,60 @@ pub struct MeasureOpts {
     pub memspec: MemSpecKind,
 }
 
+/// The shared flags [`MeasureOpts::from_args`] understands.
+const MEASURE_USAGE: &str = "usage: [--strict-validate] [--engine stepped|event] \
+                                 [--memspec ddr4|ddr5|lpddr4-pasr]";
+
 impl MeasureOpts {
     /// Parses the figure binaries' shared command line: `--strict-validate`
     /// (or a `GD_STRICT_VALIDATE=1` environment) turns the verification
-    /// gate on; `--engine stepped|event|epoch-replay` selects the
-    /// time-advance engine; `--memspec ddr4|ddr5|lpddr4-pasr` selects the
-    /// memory-generation backend. An unknown `--memspec` value aborts
-    /// rather than silently running the DDR4 default.
+    /// gate on; `--engine stepped|event` selects the time-advance engine;
+    /// `--memspec ddr4|ddr5|lpddr4-pasr` selects the memory-generation
+    /// backend. An unknown or missing `--engine`/`--memspec` value exits 2
+    /// with usage rather than silently running the default.
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let strict = args.iter().any(|a| a == "--strict-validate")
-            || std::env::var("GD_STRICT_VALIDATE")
-                .map(|v| v == "1")
-                .unwrap_or(false);
-        let engine = args
-            .iter()
-            .position(|a| a == "--engine")
-            .and_then(|i| args.get(i + 1))
-            .map(|v| parse_engine(v));
-        let memspec = args
-            .iter()
-            .position(|a| a == "--memspec")
-            .and_then(|i| args.get(i + 1))
-            .map(|v| {
-                MemSpecKind::parse(v).unwrap_or_else(|| {
-                    eprintln!("error: unknown --memspec {v:?} (expected ddr4, ddr5, lpddr4-pasr)");
-                    std::process::exit(2);
-                })
-            });
-        MeasureOpts {
-            strict_validate: strict,
-            engine: engine.unwrap_or_default(),
-            engine_explicit: engine.is_some(),
-            memspec: memspec.unwrap_or_default(),
-        }
+        let mut opts = Self::parse(&args).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{MEASURE_USAGE}");
+            std::process::exit(2);
+        });
+        opts.strict_validate |= std::env::var("GD_STRICT_VALIDATE")
+            .map(|v| v == "1")
+            .unwrap_or(false);
+        opts
     }
-}
 
-/// Refuses the sampled epoch-replay engine outright. The cross-generation
-/// figure compares backends bit for bit, so a bounded sampling error would
-/// silently contaminate the comparison even though the provenance header
-/// carries the `(sampled)` flag.
-///
-/// # Errors
-///
-/// [`GdError::InvalidConfig`] when `opts` selects the epoch-replay engine.
-pub fn require_exact_engine(fig: &str, opts: &MeasureOpts) -> Result<()> {
-    if matches!(opts.engine, EngineMode::EpochReplay(_)) {
-        return Err(GdError::InvalidConfig(format!(
-            "{fig}: --engine epoch-replay is sampled and only calibrated against the \
-             DDR4 command mix; this run requires an exact engine (omit --engine or \
-             pass stepped)"
-        )));
+    /// [`from_args`](Self::from_args) over an explicit argument list,
+    /// without the environment. Errors name the flag whose value is
+    /// unknown or missing.
+    fn parse(args: &[String]) -> std::result::Result<Self, String> {
+        let value = |flag: &str| -> std::result::Result<Option<&str>, String> {
+            match args.iter().position(|a| a == flag) {
+                None => Ok(None),
+                Some(i) => args
+                    .get(i + 1)
+                    .map(|v| Some(v.as_str()))
+                    .ok_or_else(|| format!("{flag} needs a value")),
+            }
+        };
+        let engine = match value("--engine")? {
+            None => EngineMode::default(),
+            Some("stepped") => EngineMode::Stepped,
+            Some("event") => EngineMode::EventDriven,
+            Some(v) => return Err(format!("unknown --engine {v:?} (expected stepped, event)")),
+        };
+        let memspec = match value("--memspec")? {
+            None => MemSpecKind::default(),
+            Some(v) => MemSpecKind::parse(v).ok_or_else(|| {
+                format!("unknown --memspec {v:?} (expected ddr4, ddr5, lpddr4-pasr)")
+            })?,
+        };
+        Ok(MeasureOpts {
+            strict_validate: args.iter().any(|a| a == "--strict-validate"),
+            engine,
+            memspec,
+        })
     }
-    Ok(())
-}
-
-/// Enforces the exactness contract of cross-generation runs (satellite of
-/// the multi-backend work): the epoch-replay engine samples representative
-/// epochs and was only ever calibrated against the DDR4 command mix, so a
-/// non-DDR4 backend refuses it outright instead of emitting a snapshot
-/// whose `engine=epoch-replay(sampled)` flag the reader might miss.
-///
-/// # Errors
-///
-/// [`GdError::InvalidConfig`] when `opts` combines a non-DDR4 backend with
-/// the epoch-replay engine.
-pub fn reject_sampled_engine(fig: &str, opts: &MeasureOpts) -> Result<()> {
-    if opts.memspec != MemSpecKind::Ddr4 {
-        require_exact_engine(fig, opts)?;
-    }
-    Ok(())
 }
 
 /// Provenance name of a backend's paper-platform speed grade, used in the
@@ -129,23 +107,11 @@ pub fn memspec_suffix(kind: MemSpecKind) -> String {
     }
 }
 
-/// Maps an `--engine` argument to an [`EngineMode`]; unknown values fall
-/// back to the exact event-driven default.
-pub fn parse_engine(v: &str) -> EngineMode {
-    match v {
-        "stepped" => EngineMode::Stepped,
-        "epoch-replay" => EngineMode::EpochReplay(EpochReplayCfg::default()),
-        _ => EngineMode::EventDriven,
-    }
-}
-
-/// Provenance-header name of an engine. The replay engine is suffixed
-/// `(sampled)` so any figure produced with it is visibly non-exact.
+/// Provenance-header name of an engine.
 pub fn engine_name(mode: EngineMode) -> &'static str {
     match mode {
         EngineMode::Stepped => "stepped",
         EngineMode::EventDriven => "event-driven",
-        EngineMode::EpochReplay(_) => "epoch-replay(sampled)",
     }
 }
 

@@ -22,7 +22,7 @@ pub mod vmtrace;
 pub use blocks::{block_size_experiment, block_size_experiment_tele, BlockSizeRow, MANAGED_BYTES};
 pub use energy::{
     engine_name, evaluate_app, evaluate_app_tele, find_row, measure_app, measure_app_tele,
-    parse_engine, AppMeasurement, EnergyRow,
+    AppMeasurement, EnergyRow,
 };
 pub use provenance::{fnv1a, print_provenance, provenance_line, provenance_line_with_engine};
 pub use robustness::{robustness_experiment, RobustnessRow, FAULT_RATES};

@@ -65,18 +65,18 @@ pub struct FleetConfig {
     pub ksm: bool,
     /// Run each host's GreenDIMM daemon (off = conventional kernel).
     pub greendimm: bool,
-    /// Exact co-sim host stride for the sampled epoch-replay engine: hosts
-    /// whose index is a multiple of this are simulated exactly; the rest
-    /// are replayed analytically from the exact sample. Ignored by the
-    /// exact engines. Must be ≥ 1.
-    pub replay_stride: usize,
+    /// Host sampling stride: hosts whose index is a multiple of this are
+    /// co-simulated exactly; the rest get surrogate numbers calibrated
+    /// against them. 1 co-simulates every host. Must be ≥ 1.
+    pub sample_stride: usize,
     /// Experiment seed (per-host seeds derive from it by host index).
     pub seed: u64,
 }
 
 impl FleetConfig {
     /// The paper-scale fleet: 1000 hosts of the Fig. 12/13 platform
-    /// (16 cores, 256 GB, 1 GB blocks) over 24 hours.
+    /// (16 cores, 256 GB, 1 GB blocks) over 24 hours, every host
+    /// co-simulated exactly.
     pub fn paper_1k() -> Self {
         FleetConfig {
             hosts: 1000,
@@ -91,7 +91,7 @@ impl FleetConfig {
             placement: FleetPlacement::BestFit,
             ksm: false,
             greendimm: true,
-            replay_stride: 16,
+            sample_stride: 1,
             seed: 42,
         }
     }
@@ -164,7 +164,7 @@ mod tests {
         let cfg = FleetConfig::paper_1k();
         assert_eq!(cfg.hosts, 1000);
         assert_eq!(cfg.ticks(), 288);
-        assert!(cfg.replay_stride >= 1);
+        assert_eq!(cfg.sample_stride, 1);
     }
 
     #[test]

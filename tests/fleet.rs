@@ -1,10 +1,10 @@
 //! End-to-end gates for the fleet simulation: VM/capacity conservation
 //! under `Strict` verification, bit-for-bit agreement of the exact engines
 //! on a small fleet, byte-identity across shard-pool worker counts, and
-//! the sampled replay engine's host-stride contract.
+//! the host-stride sampling contract.
 
 use greendimm_suite::bench::telemetry::render_shards;
-use greendimm_suite::dram::{EngineMode, EpochReplayCfg};
+use greendimm_suite::dram::EngineMode;
 use greendimm_suite::fleet::{run_fleet, schedule_fleet, FleetOutcome};
 use greendimm_suite::types::fleet::{FleetConfig, FleetPlacement};
 use greendimm_suite::verify::Mode;
@@ -37,22 +37,15 @@ fn strict_conservation_holds_for_every_placement() {
     }
 }
 
-/// The Strict fleet checker also holds under the sampled replay engine —
-/// scheduling (where the invariants live) is engine-independent.
+/// The Strict fleet checker also holds under host-stride sampling —
+/// scheduling (where the invariants live) does not depend on the stride.
 #[test]
 fn strict_conservation_holds_under_sampled_replay() {
     let cfg = FleetConfig {
-        replay_stride: 4,
+        sample_stride: 4,
         ..small(FleetPlacement::BestFit, false)
     };
-    let out = run_fleet(
-        &cfg,
-        EngineMode::EpochReplay(EpochReplayCfg::default()),
-        2,
-        Some(Mode::Strict),
-        false,
-    )
-    .unwrap();
+    let out = run_fleet(&cfg, EngineMode::EventDriven, 2, Some(Mode::Strict), false).unwrap();
     assert!(out.stats.conserved());
     // Hosts 0 and 4 are the exact anchors at stride 4 over 8 hosts.
     assert_eq!(out.exact_hosts, 2);
@@ -67,6 +60,30 @@ fn strict_conservation_holds_under_sampled_replay() {
         out.hosts.iter().all(|h| h.exact || h.replayed_ticks > 0),
         "surrogate hosts must account their replayed ticks"
     );
+}
+
+/// An anchor host of a sampled fleet is co-simulated exactly: its summary
+/// is bit-identical to the same host in an all-exact fleet, and a stride
+/// of 1 leaves no surrogate host at all.
+#[test]
+fn anchor_hosts_match_the_all_exact_fleet() {
+    let exact_cfg = small(FleetPlacement::KsmAware, true);
+    assert_eq!(exact_cfg.sample_stride, 1, "the default fleet is all-exact");
+    let exact = run_fleet(&exact_cfg, EngineMode::EventDriven, 2, None, false).unwrap();
+    assert_eq!(exact.exact_hosts, exact_cfg.hosts);
+    assert!(exact.hosts.iter().all(|h| h.exact && h.replayed_ticks == 0));
+    let sampled_cfg = FleetConfig {
+        sample_stride: 4,
+        ..exact_cfg
+    };
+    let sampled = run_fleet(&sampled_cfg, EngineMode::EventDriven, 2, None, false).unwrap();
+    for (s, e) in sampled.hosts.iter().zip(&exact.hosts) {
+        if s.host % 4 == 0 {
+            assert_eq!(s, e, "anchor host {} diverged from the exact fleet", s.host);
+        } else {
+            assert!(!s.exact, "host {} should be a surrogate", s.host);
+        }
+    }
 }
 
 fn assert_outcomes_equal(a: &FleetOutcome, b: &FleetOutcome, what: &str) {

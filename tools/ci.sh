@@ -134,12 +134,24 @@ diff -u <(grep -v '^\[timing ->' results/fig02_idle_busy_power.txt) \
 }
 rm -f /tmp/fig02.ci.txt
 
-echo "==> epoch-replay refusal (sampled engine must be rejected off the DDR4 backend)"
-if cargo run --quiet --release -p gd-bench --bin fig09_dram_energy -- \
-    --memspec ddr5 --engine epoch-replay --requests 6000 > /dev/null 2>&1; then
-  echo "ERROR: fig09 --memspec ddr5 accepted the sampled epoch-replay engine" >&2
-  exit 1
-fi
+echo "==> bad input (unknown --engine values on every backend and a zero fig14 stride exit 2)"
+expect_exit_2() {
+  local code=0
+  "$@" > /dev/null 2>&1 || code=$?
+  if [ "$code" -ne 2 ]; then
+    echo "ERROR: '$*' exited $code, expected 2" >&2
+    exit 1
+  fi
+}
+# "epoch"-replay is the value of the deleted sampled engine.
+for memspec in ddr4 ddr5 lpddr4-pasr; do
+  for engine in bogus "epoch"-replay; do
+    expect_exit_2 cargo run --quiet --release -p gd-bench --bin fig09_dram_energy -- \
+      --memspec "$memspec" --engine "$engine" --requests 6000
+  done
+done
+expect_exit_2 cargo run --quiet --release -p gd-bench --bin fig14_fleet_energy -- \
+  --sample-stride 0 --hosts 12 --requests 8
 
 echo "==> fig15 smoke (cross-generation sweep, --jobs 2 vs --jobs 1 and stepped vs event)"
 cargo run --quiet --release -p gd-bench --bin fig15_cross_generation -- \
