@@ -73,41 +73,55 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
+/// The flags [`SweepOpts::from_args`] understands.
+const SWEEP_USAGE: &str = "usage: [--jobs N] [--requests N] (N >= 1; GD_JOBS=N also sets --jobs)";
+
 impl SweepOpts {
     /// Parses `--jobs N` and `--requests N` from the process arguments
-    /// (also honoring a `GD_JOBS` environment override), ignoring flags it
-    /// does not know about so it composes with `MeasureOpts::from_args`.
+    /// (also honoring a `GD_JOBS` environment override, which `--jobs`
+    /// beats), ignoring flags it does not know about so it composes with
+    /// `MeasureOpts::from_args`. A missing, non-numeric or zero value exits
+    /// 2 with usage rather than silently running the default.
     pub fn from_args() -> Self {
-        let mut opts = SweepOpts::default();
-        if let Ok(j) = std::env::var("GD_JOBS") {
-            if let Ok(j) = j.parse::<usize>() {
-                opts.jobs = j.max(1);
-                opts.jobs_explicit = true;
-            }
-        }
         let args: Vec<String> = std::env::args().skip(1).collect();
+        let env_jobs = std::env::var("GD_JOBS").ok();
+        Self::parse(&args, env_jobs.as_deref()).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{SWEEP_USAGE}");
+            std::process::exit(2);
+        })
+    }
+
+    /// [`from_args`](Self::from_args) over an explicit argument list and
+    /// `GD_JOBS` value. Errors name the flag whose value is bad.
+    fn parse(args: &[String], env_jobs: Option<&str>) -> std::result::Result<Self, String> {
+        let count = |what: &str, v: Option<&str>| -> std::result::Result<usize, String> {
+            v.and_then(|v| v.parse::<usize>().ok())
+                .filter(|&n| n >= 1)
+                .ok_or_else(|| format!("{what} needs a positive integer, got {v:?}"))
+        };
+        let mut opts = SweepOpts::default();
+        if let Some(j) = env_jobs {
+            opts.jobs = count("GD_JOBS", Some(j))?;
+            opts.jobs_explicit = true;
+        }
         let mut i = 0;
         while i < args.len() {
-            let value_of = |k: usize| args.get(k + 1).and_then(|v| v.parse::<usize>().ok());
+            let value = args.get(i + 1).map(String::as_str);
             match args[i].as_str() {
                 "--jobs" => {
-                    if let Some(j) = value_of(i) {
-                        opts.jobs = j.max(1);
-                        opts.jobs_explicit = true;
-                        i += 1;
-                    }
+                    opts.jobs = count("--jobs", value)?;
+                    opts.jobs_explicit = true;
+                    i += 1;
                 }
                 "--requests" => {
-                    if let Some(r) = value_of(i) {
-                        opts.requests = Some(r.max(1));
-                        i += 1;
-                    }
+                    opts.requests = Some(count("--requests", value)?);
+                    i += 1;
                 }
                 _ => {}
             }
             i += 1;
         }
-        opts
+        Ok(opts)
     }
 }
 
@@ -292,6 +306,26 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(args: &[&str], env_jobs: Option<&str>) -> Result<SweepOpts, String> {
+        let args: Vec<String> = args.iter().map(|a| (*a).to_string()).collect();
+        SweepOpts::parse(&args, env_jobs)
+    }
+
+    #[test]
+    fn sweep_flags_parse_and_flag_beats_env() {
+        let o = parse(
+            &["--jobs", "3", "--requests", "50", "--strict-validate"],
+            None,
+        )
+        .unwrap();
+        assert_eq!((o.jobs, o.requests, o.jobs_explicit), (3, Some(50), true));
+        let o = parse(&[], Some("2")).unwrap();
+        assert_eq!((o.jobs, o.jobs_explicit), (2, true));
+        assert_eq!(parse(&["--jobs", "5"], Some("2")).unwrap().jobs, 5);
+        let o = parse(&["--memspec", "ddr5"], None).unwrap();
+        assert_eq!((o.requests, o.jobs_explicit), (None, false));
+    }
 
     #[test]
     fn serial_and_parallel_agree_in_order() {

@@ -4,16 +4,21 @@
 use std::process::Command;
 
 fn assert_usage_exit(bin: &str, args: &[&str]) {
+    assert_usage_exit_env(bin, args, &[]);
+}
+
+fn assert_usage_exit_env(bin: &str, args: &[&str], env: &[(&str, &str)]) {
     let out = Command::new(bin)
         .args(args)
         .env("GD_BENCH_DIR", std::env::temp_dir())
+        .envs(env.iter().copied())
         .output()
         .unwrap_or_else(|e| panic!("spawning {bin}: {e}"));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(
         out.status.code(),
         Some(2),
-        "{bin} {args:?} must exit 2; stderr:\n{stderr}"
+        "{bin} {args:?} {env:?} must exit 2; stderr:\n{stderr}"
     );
     assert!(
         stderr.contains("usage:"),
@@ -46,5 +51,23 @@ fn fig14_rejects_bad_hosts_and_stride() {
         ["--sample-stride", "-3"],
     ] {
         assert_usage_exit(bin, &[&args[..], &["--requests", "1"]].concat());
+    }
+}
+
+#[test]
+fn bad_jobs_or_requests_exit_2() {
+    let bin = env!("CARGO_BIN_EXE_fig09_dram_energy");
+    for args in [
+        &["--jobs", "abc"][..],
+        &["--jobs"],
+        &["--jobs", "0"],
+        &["--requests", "abc"],
+        &["--requests", "0"],
+        &["--requests"],
+    ] {
+        assert_usage_exit(bin, args);
+    }
+    for jobs in ["abc", "0", ""] {
+        assert_usage_exit_env(bin, &["--requests", "200"], &[("GD_JOBS", jobs)]);
     }
 }

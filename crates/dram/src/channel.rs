@@ -877,6 +877,38 @@ impl ChannelCtrl {
         false
     }
 
+    /// Earliest cycle at which `service_refresh` could act on rank `ri`,
+    /// for a rank that is not in self-refresh and has no wake in flight.
+    /// Before the deadline nothing happens; after it the rank acts as soon
+    /// as its own gate opens:
+    /// * power-down: the PDX once CKE has been low for tCKE;
+    /// * all-bank REF: the drain PRE of the first open bank whose
+    ///   tRAS/tRTP/tWR window (`next_pre`) has passed, then the REF once the
+    ///   previous tRFC window has ended;
+    /// * same-bank REFsb: the same, restricted to the target set's banks.
+    ///
+    /// `next_pre` moves only when a command issues on this channel, which
+    /// re-polls it, so the gate is exact rather than merely conservative.
+    fn refresh_gate(&self, ri: usize) -> u64 {
+        let rank = &self.ranks[ri];
+        if rank.power == RankPowerState::PowerDown {
+            return rank.next_refresh.max(rank.state_since + self.timing.t_cke);
+        }
+        let base = ri * self.banks_per_rank;
+        let drain = match self.scheme {
+            RefreshScheme::AllBank => (base..base + self.banks_per_rank)
+                .filter(|&b| self.banks.is_open(b))
+                .map(|b| self.banks.next_pre[b])
+                .min(),
+            RefreshScheme::SameBank { .. } => (0..self.bank_groups)
+                .map(|bg| self.bank_idx(ri, bg, rank.refresh_set as usize))
+                .filter(|&b| self.banks.is_open(b))
+                .map(|b| self.banks.next_pre[b])
+                .min(),
+        };
+        rank.next_refresh.max(drain.unwrap_or(rank.refresh_until))
+    }
+
     /// Earliest future cycle at which this channel could do something.
     /// Returns `u64::MAX` when nothing is outstanding (other than
     /// self-refresh bookkeeping, which needs no controller action).
@@ -888,6 +920,29 @@ impl ChannelCtrl {
     /// reuse the same `column_time`/tRP/tRRD/tFAW arithmetic the issue
     /// passes check, so after a successful issue the driving loop can jump
     /// straight to the next legal issue cycle.
+    ///
+    /// Two floors keep idle stretches from collapsing into `now + 1` polls
+    /// that `try_issue` is guaranteed to refuse:
+    /// * **No governor deadline earlier than `refresh_until`.** The governor
+    ///   skips a rank while its tRFC window runs, so its demotion deadlines
+    ///   (and the untimed ActiveStandby → PrechargeStandby bookkeeping that
+    ///   an all-bank REF leaves pending) wait for the window to end.
+    /// * **No refresh term while a wake is in flight.** `refresh_due` is
+    ///   false until the PDX/SRX completes, and the `wake_at` term already
+    ///   polls at completion.
+    ///
+    /// The refresh term itself is the exact [`refresh_gate`]. While a
+    /// refresh is due the rank's ACT and conflict-PRE gates are dropped:
+    /// `issue_oldest` skips the rank until the REF (a poll of its own)
+    /// issues. Row-hit column gates stay — row hits keep issuing to a rank
+    /// with a refresh pending.
+    ///
+    /// What still lands on `now + 1` is real work: the next command after
+    /// an issue, and the one-cycle ActiveStandby → PrechargeStandby →
+    /// PowerDown bookkeeping (the first step changes state without issuing,
+    /// the second is due on the following cycle).
+    ///
+    /// [`refresh_gate`]: Self::refresh_gate
     pub fn next_event(&mut self, now: u64) -> u64 {
         let mut t = u64::MAX;
         for (ri, rank) in self.ranks.iter().enumerate() {
@@ -895,13 +950,9 @@ impl ChannelCtrl {
                 t = t.min(w);
             }
             if rank.power != RankPowerState::SelfRefresh {
-                // A power-down rank cannot begin its refresh wake-up before
-                // CKE has been low for tCKE.
-                let mut refr = rank.next_refresh;
-                if rank.power == RankPowerState::PowerDown {
-                    refr = refr.max(rank.state_since + self.timing.t_cke);
+                if rank.wake_at.is_none() {
+                    t = t.min(self.refresh_gate(ri).max(now + 1));
                 }
-                t = t.min(refr.max(now + 1));
                 if rank.refresh_until > now {
                     t = t.min(rank.refresh_until);
                 }
@@ -909,27 +960,28 @@ impl ChannelCtrl {
             // Governor deadlines.
             if rank.wake_at.is_none() && rank.all_precharged() && self.queued_per_rank[ri] == 0 {
                 let base = rank.idle_since;
+                let floor = (now + 1).max(rank.refresh_until);
                 match rank.power {
                     RankPowerState::PrechargeStandby => {
                         if let Some(pdt) = self.policy.pd_timeout {
-                            t = t.min((base + pdt).max(now + 1));
+                            t = t.min((base + pdt).max(floor));
                         }
                         if let Some(srt) = self.policy.sr_timeout {
-                            t = t.min((base + srt).max(now + 1));
+                            t = t.min((base + srt).max(floor));
                         }
                     }
                     RankPowerState::PowerDown => {
                         if let Some(srt) = self.policy.sr_timeout {
-                            t = t.min((base + srt).max(now + 1));
+                            t = t.min((base + srt).max(floor));
                         }
                     }
                     RankPowerState::ActiveStandby => {
                         // The governor's ActiveStandby → PrechargeStandby
                         // bookkeeping transition is untimed: it fires on the
-                        // next poll once the rank is fully precharged and
-                        // has no queued work, so the next poll must come at
-                        // now + 1 for residency to match the stepped engine.
-                        t = t.min(now + 1);
+                        // first poll once the rank is fully precharged, has
+                        // no queued work and is out of its tRFC window, so
+                        // residency matches the stepped engine.
+                        t = t.min(floor);
                     }
                     RankPowerState::SelfRefresh => {}
                 }
@@ -959,6 +1011,7 @@ impl ChannelCtrl {
                 t = t.min(self.ranks[ri].refresh_until);
                 continue;
             }
+            let refresh_pending = self.refresh_due(ri, now);
             self.ensure_cands(b);
             let c = self.cands[b];
             let bg = self.bg_of(b);
@@ -971,10 +1024,10 @@ impl ChannelCtrl {
                         t = t.min(self.column_time(ri, bg, b, kind).max(now + 1));
                     }
                 }
-                if c.act.is_some() {
+                if c.act.is_some() && !refresh_pending {
                     t = t.min(self.banks.next_pre[b].max(now + 1));
                 }
-            } else if c.act.is_some() {
+            } else if c.act.is_some() && !refresh_pending {
                 let gate = self.banks.next_act[b].max(self.ranks[ri].act_allowed_at(bg));
                 t = t.min(gate.max(now + 1));
             }
@@ -1210,6 +1263,69 @@ mod tests {
             lat >= (t.t_xs + t.t_rcd + t.cl) as f64,
             "latency {lat} must include tXS {}",
             t.t_xs
+        );
+    }
+
+    /// Drives `ch` with the event engine's polling rule until `hit` holds
+    /// right after a successful issue, returning that cycle.
+    fn poll_until(ch: &mut ChannelCtrl, hit: impl Fn(&ChannelCtrl, u64) -> bool) -> u64 {
+        let mut now = 0;
+        for _ in 0..100_000 {
+            if ch.try_issue(now) && hit(ch, now) {
+                return now;
+            }
+            now = ch.next_poll(now, u64::MAX);
+        }
+        panic!("condition never reached");
+    }
+
+    #[test]
+    fn next_event_skips_the_trfc_window_of_an_idle_rank() {
+        // Governor off, so the only untimed work is the ActiveStandby →
+        // PrechargeStandby bookkeeping an all-bank REF leaves pending.
+        let (mut ch, mapper) = make(LowPowerPolicy::disabled());
+        // One read leaves its row open; the refresh drain closes it and the
+        // REF follows with the rank still booked as ActiveStandby.
+        ch.enqueue(pend(&mapper, MemRequest::read(0, 0)), 0);
+        let now = poll_until(&mut ch, |ch, now| {
+            ch.ranks
+                .iter()
+                .any(|r| r.refresh_until > now && r.power == RankPowerState::ActiveStandby)
+        });
+        let rank = ch
+            .ranks
+            .iter()
+            .find(|r| r.refresh_until > now)
+            .expect("a rank is refreshing");
+        assert!(rank.all_precharged() && !ch.busy());
+        let until = rank.refresh_until;
+        assert_eq!(
+            ch.next_event(now),
+            until,
+            "the governor cannot act before tRFC ends, so no poll may land inside it"
+        );
+    }
+
+    #[test]
+    fn next_event_waits_for_an_in_flight_wake() {
+        // Idle ranks drop into power-down after 64 cycles; the next tREFI
+        // deadline then forces a PDX with the refresh already overdue.
+        let (mut ch, _) = make(LowPowerPolicy::srf_default());
+        let now = poll_until(&mut ch, |ch, _| {
+            ch.ranks.iter().any(|r| r.wake_at.is_some())
+        });
+        let rank = ch
+            .ranks
+            .iter()
+            .find(|r| r.wake_at.is_some())
+            .expect("a wake is in flight");
+        assert!(rank.next_refresh <= now, "refresh-driven wake");
+        let wake = rank.wake_at.expect("checked above");
+        assert!(wake > now + 1);
+        assert_eq!(
+            ch.next_event(now),
+            wake,
+            "refresh cannot issue until the wake completes"
         );
     }
 

@@ -54,6 +54,6 @@ pub use addrmap::{AddressBitLayout, AddressMapper, CACHE_LINE_BYTES};
 pub use command::{AccessKind, DramCommand, MemRequest};
 pub use policy::LowPowerPolicy;
 pub use rank::{RankPowerState, RankResidency};
-pub use stats::RunStats;
+pub use stats::{EngineStats, RunStats};
 pub use system::{EngineMode, MemorySystem};
 pub use validate::{CommandRecord, TimingChecker, TimingViolation};

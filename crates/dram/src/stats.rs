@@ -42,6 +42,27 @@ pub struct RunStats {
     pub group_deep_pd_cycles: Vec<u64>,
 }
 
+/// How efficiently the run loops advanced simulated time: one count per
+/// loop iteration of [`MemorySystem::run_trace`] / [`MemorySystem::run_idle`]
+/// and the size of each clock advance. Pure integer counts with no clock
+/// reading.
+///
+/// Kept out of [`RunStats`] and telemetry on purpose: the engines differ
+/// here by design (the stepped reference takes one iteration per cycle),
+/// while `RunStats` and telemetry must stay bit-identical across them.
+///
+/// [`MemorySystem::run_trace`]: crate::MemorySystem::run_trace
+/// [`MemorySystem::run_idle`]: crate::MemorySystem::run_idle
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    /// Passes through the run loops (each polls the due channels once).
+    pub loop_iterations: u64,
+    /// Clock advances of exactly one cycle.
+    pub unit_steps: u64,
+    /// Largest single clock advance, in cycles.
+    pub max_jump: u64,
+}
+
 impl RunStats {
     /// Sum of residency across all ranks.
     pub fn total_residency(&self) -> RankResidency {

@@ -5,7 +5,7 @@ use crate::addrmap::AddressMapper;
 use crate::channel::ChannelCtrl;
 use crate::command::{MemRequest, PendingRequest};
 use crate::policy::LowPowerPolicy;
-use crate::stats::RunStats;
+use crate::stats::{EngineStats, RunStats};
 use gd_types::config::{DramConfig, MemSpecKind, PASR_SEGMENTS};
 use gd_types::ids::SubArrayGroup;
 use gd_types::{GdError, Result};
@@ -56,6 +56,8 @@ pub struct MemorySystem {
     /// Earliest cycle each channel could act (EventDriven mode only); a
     /// value `<= clock` means the channel must be polled.
     attention: Vec<u64>,
+    /// Run-loop efficiency counters (see [`EngineStats`]).
+    engine: EngineStats,
     group_pd: Vec<bool>,
     group_pd_since: Vec<u64>,
     group_pd_cycles: Vec<u64>,
@@ -92,6 +94,7 @@ impl MemorySystem {
             clock: 0,
             mode: EngineMode::default(),
             attention: vec![0; n_channels],
+            engine: EngineStats::default(),
             group_pd: vec![false; groups],
             group_pd_since: vec![0; groups],
             group_pd_cycles: vec![0; groups],
@@ -303,6 +306,7 @@ impl MemorySystem {
     {
         let mut iter = requests.into_iter().peekable();
         loop {
+            self.engine.loop_iterations += 1;
             // Feed due arrivals.
             while let Some(r) = iter.peek() {
                 if r.arrival <= self.clock {
@@ -319,7 +323,7 @@ impl MemorySystem {
                 break;
             }
             if self.mode == EngineMode::Stepped {
-                self.clock += 1;
+                self.advance_clock(self.clock + 1);
             } else {
                 // Jump to the next attention time or arrival. The attention
                 // times are refreshed after *every* poll (successful or
@@ -329,7 +333,7 @@ impl MemorySystem {
                 if let Some(r) = iter.peek() {
                     next = next.min(r.arrival);
                 }
-                self.clock = next.max(self.clock + 1);
+                self.advance_clock(next.max(self.clock + 1));
             }
         }
         Ok(self.snapshot_stats())
@@ -346,14 +350,31 @@ impl MemorySystem {
     pub fn run_idle(&mut self, cycles: u64) -> RunStats {
         let target = self.clock + cycles;
         while self.clock < target {
+            self.engine.loop_iterations += 1;
             self.poll_channels();
             if self.mode == EngineMode::Stepped {
-                self.clock += 1;
+                self.advance_clock(self.clock + 1);
             } else {
-                self.clock = self.next_horizon().max(self.clock + 1).min(target);
+                self.advance_clock(self.next_horizon().max(self.clock + 1).min(target));
             }
         }
         self.snapshot_stats()
+    }
+
+    /// Moves the clock forward to `next` (strictly later) and records the
+    /// step in the [`EngineStats`] counters.
+    fn advance_clock(&mut self, next: u64) {
+        let step = next - self.clock;
+        self.engine.unit_steps += u64::from(step == 1);
+        self.engine.max_jump = self.engine.max_jump.max(step);
+        self.clock = next;
+    }
+
+    /// Run-loop efficiency counters accumulated over every
+    /// [`run_trace`](Self::run_trace) and [`run_idle`](Self::run_idle) call
+    /// so far. Unlike [`RunStats`] these differ between [`EngineMode`]s.
+    pub fn engine_stats(&self) -> EngineStats {
+        self.engine
     }
 
     /// Polls channels at the current cycle. In the event-driven mode only

@@ -483,3 +483,50 @@ fn telemetry_shards_identical_across_job_counts() {
         "merged telemetry diverged between --jobs 1 and --jobs 4"
     );
 }
+
+/// The event engine must jump over idle stretches, not crawl through them.
+/// The Fig. 9 povray workload (2 000 requests on the 64 GB preset under
+/// `srf_default`) spends most of its simulated time in refresh windows and
+/// wake-ups between sparse arrivals; an engine that polls every cycle of
+/// those windows takes hundreds of loop iterations per request. The bound
+/// is deterministic (a loop count, not a wall time), holds on every
+/// backend and interleave mode, and rides on the usual stepped ≡ event
+/// equivalence check.
+#[test]
+fn sparse_trace_does_not_crawl() {
+    use greendimm_suite::workloads::energy_figure_set;
+    const REQUESTS: usize = 2_000;
+    const MAX_ITERATIONS_PER_REQUEST: u64 = 20;
+    let povray = energy_figure_set()
+        .into_iter()
+        .find(|p| p.name == "povray")
+        .unwrap();
+    for kind in MemSpecKind::all() {
+        for mode in MODES {
+            let cfg = DramConfig::preset_64gb(kind).with_interleave(mode);
+            let cap = cfg.total_capacity_bytes();
+            let trace: Vec<_> = TraceGenerator::new(povray.clone(), 1)
+                .take(REQUESTS)
+                .into_iter()
+                .map(|mut r| {
+                    r.addr %= cap;
+                    r
+                })
+                .collect();
+            let mut stepped = MemorySystem::new(cfg, LowPowerPolicy::srf_default())
+                .unwrap()
+                .with_engine_mode(EngineMode::Stepped);
+            let mut event = MemorySystem::new(cfg, LowPowerPolicy::srf_default())
+                .unwrap()
+                .with_engine_mode(EngineMode::EventDriven);
+            let a = stepped.run_trace(trace.clone()).unwrap();
+            let b = event.run_trace(trace).unwrap();
+            assert_eq!(a, b, "{kind:?} {mode:?}: stepped vs event-driven diverged");
+            let eng = event.engine_stats();
+            assert!(
+                eng.loop_iterations <= MAX_ITERATIONS_PER_REQUEST * REQUESTS as u64,
+                "{kind:?} {mode:?}: {eng:?} over {REQUESTS} requests — the event engine crawls"
+            );
+        }
+    }
+}

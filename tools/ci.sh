@@ -41,18 +41,22 @@ cargo test --quiet --release --test engine_equivalence
 echo "==> telemetry determinism (byte-identical across engines and job counts)"
 cargo test --quiet --release --test engine_equivalence telemetry
 
+# Every run below redirects the timing sidecar (GD_BENCH_DIR) so neither
+# the staleness checks nor the trimmed smoke configs overwrite the committed
+# full-run budgets in results/.
+export GD_BENCH_DIR=/tmp/gd_bench.ci
+rm -rf "$GD_BENCH_DIR"
+
 echo "==> snapshot staleness (fig05 regenerated at HEAD must match the committed snapshot)"
+# Only the sidecar announcement line differs, because GD_BENCH_DIR is
+# redirected.
 cargo run --quiet --release -p gd-bench --bin fig05_addrmap > /tmp/fig05_addrmap.ci.txt
-diff -u results/fig05_addrmap.txt /tmp/fig05_addrmap.ci.txt || {
+diff -u <(grep -v '^\[timing ->' results/fig05_addrmap.txt) \
+        <(grep -v '^\[timing ->' /tmp/fig05_addrmap.ci.txt) || {
   echo "ERROR: results/fig05_addrmap.txt is stale — regenerate results/*.txt and commit" >&2
   exit 1
 }
 rm -f /tmp/fig05_addrmap.ci.txt
-
-# Smoke runs below redirect the timing sidecar (GD_BENCH_DIR) so trimmed
-# configs never overwrite the committed full-run budgets in results/.
-export GD_BENCH_DIR=/tmp/gd_bench.ci
-rm -rf "$GD_BENCH_DIR"
 
 echo "==> sweep smoke (fig03, --jobs 2, trimmed request count)"
 cargo run --quiet --release -p gd-bench --bin fig03_interleaving -- --jobs 2 --requests 6000 \
@@ -175,13 +179,13 @@ diff -u <(tail -n +2 /tmp/fig15.st.ci.txt) <(tail -n +2 /tmp/fig15.ev.ci.txt) ||
 }
 rm -f /tmp/fig15.{j1,j2,st,ev}.ci.txt
 
-echo "==> perf budget (fig03 + fig09 full serial regeneration vs committed sidecars; soft gate)"
+echo "==> perf budget (fig03 + fig09 + fig15 full serial regeneration vs committed sidecars; soft gate)"
 # Re-runs the exact pinned config of the committed results/BENCH_*.json
 # (serial, default request count) with the sidecar redirected, then compares
 # wall clocks. A regression past 2x the committed budget WARNS but does not
 # fail: wall time is machine-dependent, and the committed values are the
 # performance trajectory, not a hard SLA.
-for fig in fig03_interleaving fig09_dram_energy; do
+for fig in fig03_interleaving fig09_dram_energy fig15_cross_generation; do
   cargo run --quiet --release -p gd-bench --bin "$fig" -- --jobs 1 > /dev/null
   budget=$(grep -o '"total_s": [0-9.]*' "results/BENCH_$fig.json" | awk '{print $2}')
   actual=$(grep -o '"total_s": [0-9.]*' "$GD_BENCH_DIR/BENCH_$fig.json" | awk '{print $2}')
