@@ -16,72 +16,11 @@ pub struct MeasureOpts {
     /// against the independent protocol checker ([`gd_dram::validate`]) and
     /// run every governor outcome under the Strict sanity invariant
     /// ([`gd_baselines::sanity`]); any violation aborts the figure.
-    /// Enabled by `--strict-validate` on the figure binaries.
+    /// Enabled by `gd-bench run <fig> --strict-validate`.
     pub strict_validate: bool,
     /// Time-advance engine for the cycle-level runs. Defaults to the
     /// event-driven engine; both engines are exact.
     pub engine: EngineMode,
-    /// Memory-generation backend for the figure's platform config and power
-    /// model (`--memspec ddr4|ddr5|lpddr4-pasr`). Defaults to the paper's
-    /// DDR4 platform, whose outputs are bit-identical to the pre-backend
-    /// code.
-    pub memspec: MemSpecKind,
-}
-
-/// The shared flags [`MeasureOpts::from_args`] understands.
-const MEASURE_USAGE: &str = "usage: [--strict-validate] [--engine stepped|event] \
-                                 [--memspec ddr4|ddr5|lpddr4-pasr]";
-
-impl MeasureOpts {
-    /// Parses the figure binaries' shared command line: `--strict-validate`
-    /// (or a `GD_STRICT_VALIDATE=1` environment) turns the verification
-    /// gate on; `--engine stepped|event` selects the time-advance engine;
-    /// `--memspec ddr4|ddr5|lpddr4-pasr` selects the memory-generation
-    /// backend. An unknown or missing `--engine`/`--memspec` value exits 2
-    /// with usage rather than silently running the default.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut opts = Self::parse(&args).unwrap_or_else(|e| {
-            eprintln!("error: {e}\n{MEASURE_USAGE}");
-            std::process::exit(2);
-        });
-        opts.strict_validate |= std::env::var("GD_STRICT_VALIDATE")
-            .map(|v| v == "1")
-            .unwrap_or(false);
-        opts
-    }
-
-    /// [`from_args`](Self::from_args) over an explicit argument list,
-    /// without the environment. Errors name the flag whose value is
-    /// unknown or missing.
-    fn parse(args: &[String]) -> std::result::Result<Self, String> {
-        let value = |flag: &str| -> std::result::Result<Option<&str>, String> {
-            match args.iter().position(|a| a == flag) {
-                None => Ok(None),
-                Some(i) => args
-                    .get(i + 1)
-                    .map(|v| Some(v.as_str()))
-                    .ok_or_else(|| format!("{flag} needs a value")),
-            }
-        };
-        let engine = match value("--engine")? {
-            None => EngineMode::default(),
-            Some("stepped") => EngineMode::Stepped,
-            Some("event") => EngineMode::EventDriven,
-            Some(v) => return Err(format!("unknown --engine {v:?} (expected stepped, event)")),
-        };
-        let memspec = match value("--memspec")? {
-            None => MemSpecKind::default(),
-            Some(v) => MemSpecKind::parse(v).ok_or_else(|| {
-                format!("unknown --memspec {v:?} (expected ddr4, ddr5, lpddr4-pasr)")
-            })?,
-        };
-        Ok(MeasureOpts {
-            strict_validate: args.iter().any(|a| a == "--strict-validate"),
-            engine,
-            memspec,
-        })
-    }
 }
 
 /// Provenance name of a backend's paper-platform speed grade, used in the

@@ -1,7 +1,8 @@
 //! Result provenance: every regenerated `results/*.txt` snapshot starts
 //! with a `# provenance:` header recording what produced it, so a stale
 //! snapshot (produced by an older simulator) is mechanically detectable —
-//! CI regenerates a cheap figure and diffs it against the committed file.
+//! `gd-bench regen --check` regenerates the figures and byte-compares them
+//! against the committed files.
 //!
 //! The header must itself be deterministic across machines: the config is
 //! identified by an FNV-1a hash of its canonical description, the engine
@@ -9,7 +10,7 @@
 //! pinned it (sweep output is jobs-invariant, so the machine's core count
 //! must not leak into the snapshot).
 
-use crate::sweep::SweepOpts;
+use crate::cli::Opts;
 
 /// 64-bit FNV-1a over a string — stable across platforms and runs, good
 /// enough to fingerprint a config description.
@@ -32,20 +33,16 @@ pub fn fnv1a(data: &str) -> u64 {
 /// only its hash lands in the header. `engine` names the time-advance
 /// engine the figure ran with (`"event-driven"` for every default run).
 #[must_use]
-pub fn provenance_line_with_engine(
-    fig: &str,
-    config_desc: &str,
-    engine: &str,
-    opts: &SweepOpts,
-) -> String {
+pub fn provenance_line(fig: &str, config_desc: &str, engine: &str, opts: &Opts) -> String {
     let jobs = if opts.jobs_explicit {
         opts.jobs.to_string()
     } else {
         "auto".to_string()
     };
-    let requests = match opts.requests {
-        Some(r) => r.to_string(),
-        None => "default".to_string(),
+    let requests = if opts.requests_explicit {
+        opts.requests.to_string()
+    } else {
+        "default".to_string()
     };
     format!(
         "# provenance: fig={fig} config={:016x} engine={engine} jobs={jobs} \
@@ -55,20 +52,13 @@ pub fn provenance_line_with_engine(
     )
 }
 
-/// [`provenance_line_with_engine`] for the default event-driven engine.
-#[must_use]
-pub fn provenance_line(fig: &str, config_desc: &str, opts: &SweepOpts) -> String {
-    provenance_line_with_engine(fig, config_desc, "event-driven", opts)
-}
-
-/// Prints the provenance header (first line of every regenerated snapshot).
-pub fn print_provenance(fig: &str, config_desc: &str, opts: &SweepOpts) {
-    println!("{}", provenance_line(fig, config_desc, opts));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn line(config: &str, opts: &Opts) -> String {
+        provenance_line("fig05_addrmap", config, "event-driven", opts)
+    }
 
     #[test]
     fn fnv1a_reference_vectors() {
@@ -80,9 +70,9 @@ mod tests {
 
     #[test]
     fn default_opts_render_machine_independent() {
-        let line = provenance_line("fig05_addrmap", "ddr4-2133 64GB", &SweepOpts::default());
+        let line = line("ddr4-2133 64GB", &Opts::defaults(&[]));
         assert!(line.starts_with("# provenance: fig=fig05_addrmap config="));
-        // The machine's core count must not appear: CI diffs this line.
+        // The machine's core count must not appear: snapshots hold this line.
         assert!(line.contains("jobs=auto"), "{line}");
         assert!(line.contains("requests=default"), "{line}");
         assert!(line.contains("engine=event-driven"), "{line}");
@@ -90,20 +80,21 @@ mod tests {
 
     #[test]
     fn explicit_opts_are_recorded() {
-        let opts = SweepOpts {
+        let opts = Opts {
             jobs: 4,
             jobs_explicit: true,
-            requests: Some(1000),
+            requests: 1000,
+            requests_explicit: true,
+            ..Opts::defaults(&[])
         };
-        let line = provenance_line("fig03", "cfg", &opts);
+        let line = line("cfg", &opts);
         assert!(line.contains("jobs=4"), "{line}");
         assert!(line.contains("requests=1000"), "{line}");
     }
 
     #[test]
     fn config_changes_change_the_hash() {
-        let a = provenance_line("f", "seed=1", &SweepOpts::default());
-        let b = provenance_line("f", "seed=2", &SweepOpts::default());
-        assert_ne!(a, b);
+        let opts = Opts::defaults(&[]);
+        assert_ne!(line("seed=1", &opts), line("seed=2", &opts));
     }
 }

@@ -1,4 +1,4 @@
-//! Deterministic parallel sweep engine for the figure/table binaries.
+//! Deterministic parallel sweep engine behind every `gd-bench` figure.
 //!
 //! Every evaluation figure is an embarrassingly-parallel sweep over
 //! independent {workload × policy × interleave} points: each point builds
@@ -24,7 +24,6 @@
 
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::time::Instant;
 
 /// Context handed to the closure evaluating one sweep point.
 #[derive(Debug, Clone, Copy)]
@@ -41,88 +40,11 @@ impl PointCtx {
     }
 }
 
-/// Shared command-line options of the sweep-driven figure binaries.
-#[derive(Debug, Clone, Copy)]
-pub struct SweepOpts {
-    /// Worker threads (`--jobs N` / `GD_JOBS`); defaults to the machine's
-    /// available parallelism. `1` runs the plain serial path.
-    pub jobs: usize,
-    /// Optional request-count override (`--requests N`) for smoke runs;
-    /// `None` keeps each figure's paper-scale default.
-    pub requests: Option<usize>,
-    /// True when the user pinned `jobs` (via `--jobs` or `GD_JOBS`).
-    /// Provenance headers render `jobs=auto` otherwise, so a snapshot
-    /// never encodes the machine's core count.
-    pub jobs_explicit: bool,
-}
-
-impl Default for SweepOpts {
-    fn default() -> Self {
-        SweepOpts {
-            jobs: default_jobs(),
-            requests: None,
-            jobs_explicit: false,
-        }
-    }
-}
-
 /// The machine's available parallelism (1 if it cannot be determined).
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// The flags [`SweepOpts::from_args`] understands.
-const SWEEP_USAGE: &str = "usage: [--jobs N] [--requests N] (N >= 1; GD_JOBS=N also sets --jobs)";
-
-impl SweepOpts {
-    /// Parses `--jobs N` and `--requests N` from the process arguments
-    /// (also honoring a `GD_JOBS` environment override, which `--jobs`
-    /// beats), ignoring flags it does not know about so it composes with
-    /// `MeasureOpts::from_args`. A missing, non-numeric or zero value exits
-    /// 2 with usage rather than silently running the default.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let env_jobs = std::env::var("GD_JOBS").ok();
-        Self::parse(&args, env_jobs.as_deref()).unwrap_or_else(|e| {
-            eprintln!("error: {e}\n{SWEEP_USAGE}");
-            std::process::exit(2);
-        })
-    }
-
-    /// [`from_args`](Self::from_args) over an explicit argument list and
-    /// `GD_JOBS` value. Errors name the flag whose value is bad.
-    fn parse(args: &[String], env_jobs: Option<&str>) -> std::result::Result<Self, String> {
-        let count = |what: &str, v: Option<&str>| -> std::result::Result<usize, String> {
-            v.and_then(|v| v.parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .ok_or_else(|| format!("{what} needs a positive integer, got {v:?}"))
-        };
-        let mut opts = SweepOpts::default();
-        if let Some(j) = env_jobs {
-            opts.jobs = count("GD_JOBS", Some(j))?;
-            opts.jobs_explicit = true;
-        }
-        let mut i = 0;
-        while i < args.len() {
-            let value = args.get(i + 1).map(String::as_str);
-            match args[i].as_str() {
-                "--jobs" => {
-                    opts.jobs = count("--jobs", value)?;
-                    opts.jobs_explicit = true;
-                    i += 1;
-                }
-                "--requests" => {
-                    opts.requests = Some(count("--requests", value)?);
-                    i += 1;
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        Ok(opts)
-    }
 }
 
 /// Runs `f` over every point, fanning across `jobs` workers, and returns
@@ -145,7 +67,7 @@ where
     gd_fleet::pool::shard_map(points, jobs, |index, point| f(PointCtx { index }, point))
 }
 
-/// One timed point of a [`timed_sweep`] run.
+/// One timed point of a figure's sweep.
 #[derive(Debug, Clone)]
 pub struct PointTiming {
     /// Human-readable point label (row key of the figure).
@@ -159,7 +81,7 @@ pub struct PointTiming {
 /// across PRs.
 #[derive(Debug, Clone)]
 pub struct SweepTiming {
-    /// Figure binary name (e.g. `fig09_dram_energy`).
+    /// Figure id (e.g. `fig09_dram_energy`).
     pub fig: String,
     /// Worker-pool width the sweep ran with.
     pub jobs: usize,
@@ -190,17 +112,17 @@ impl SweepTiming {
     }
 
     /// Writes `results/BENCH_<fig>.json` under the workspace root (or under
-    /// `$GD_BENCH_DIR` when set); prints a warning (but does not fail the
-    /// figure) if the write is impossible.
+    /// `$GD_BENCH_DIR` when set) and announces it on stderr; prints a
+    /// warning (but does not fail the figure) if the write is impossible.
     pub fn write(&self) {
-        let path = results_dir().join(format!("BENCH_{}.json", self.fig));
+        let path = bench_dir().join(format!("BENCH_{}.json", self.fig));
         let payload = self.to_json();
         let write = std::fs::create_dir_all(path.parent().expect("results dir has a parent"))
             .and_then(|()| {
                 std::fs::File::create(&path).and_then(|mut f| f.write_all(payload.as_bytes()))
             });
         match write {
-            Ok(()) => println!("[timing -> {}]", path.display()),
+            Ok(()) => eprintln!("[timing -> {}]", path.display()),
             Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
         }
     }
@@ -217,14 +139,10 @@ fn escape(s: &str) -> String {
         .collect()
 }
 
-fn results_dir() -> PathBuf {
-    // GD_BENCH_DIR redirects the timing sidecar (CI smoke runs use it so a
-    // trimmed run never overwrites the committed full-run budget).
-    if let Ok(d) = std::env::var("GD_BENCH_DIR") {
-        if !d.is_empty() {
-            return PathBuf::from(d);
-        }
-    }
+/// The workspace's `results/` directory, which holds the committed
+/// snapshots and timing sidecars.
+#[must_use]
+pub fn results_dir() -> PathBuf {
     // crates/bench -> workspace root -> results/.
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
@@ -233,99 +151,19 @@ fn results_dir() -> PathBuf {
         .join("results")
 }
 
-/// [`sweep`] plus wall-clock accounting: times every point and the whole
-/// run, writes `results/BENCH_<fig>.json`, and returns the results in point
-/// order. The labels slice must parallel `points`.
-///
-/// This is the one sweep entry point allowed to read the wall clock — the
-/// timing sidecar is *about* wall time and never feeds back into any
-/// simulated result.
-#[allow(clippy::disallowed_methods)] // wall-time measurement is the point
-pub fn timed_sweep<T, R, F>(fig: &str, points: &[T], labels: &[String], jobs: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(PointCtx, &T) -> R + Sync,
-{
-    timed_sweep_jobs(
-        fig,
-        points,
-        labels,
-        jobs,
-        jobs.clamp(1, points.len().max(1)),
-        f,
-    )
-}
-
-/// [`timed_sweep`] with separate pool width and recorded width: the sweep
-/// fans out across `pool_jobs` workers while the timing sidecar records
-/// `recorded_jobs`. Figures that parallelize *inside* each point (the
-/// fleet binary shards hosts, not sweep points) run their outer sweep
-/// serially (`pool_jobs = 1`) but still report the worker width the inner
-/// pool used.
-#[allow(clippy::disallowed_methods)] // wall-time measurement is the point
-pub fn timed_sweep_jobs<T, R, F>(
-    fig: &str,
-    points: &[T],
-    labels: &[String],
-    pool_jobs: usize,
-    recorded_jobs: usize,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(PointCtx, &T) -> R + Sync,
-{
-    assert_eq!(points.len(), labels.len(), "one label per sweep point");
-    let t0 = Instant::now(); // detlint: allow(instant) gd-lint: allow(sim-purity)
-    let timed: Vec<(R, f64)> = sweep(points, pool_jobs, |ctx, p| {
-        let p0 = Instant::now(); // detlint: allow(instant) gd-lint: allow(sim-purity)
-        let r = f(ctx, p);
-        (r, p0.elapsed().as_secs_f64())
-    });
-    let total_s = t0.elapsed().as_secs_f64();
-    let (results, seconds): (Vec<R>, Vec<f64>) = timed.into_iter().unzip();
-    SweepTiming {
-        fig: fig.to_string(),
-        jobs: recorded_jobs.max(1),
-        total_s,
-        points: labels
-            .iter()
-            .zip(seconds)
-            .map(|(label, seconds)| PointTiming {
-                label: label.clone(),
-                seconds,
-            })
-            .collect(),
+/// Where timing sidecars go: `$GD_BENCH_DIR` when set (CI smoke runs use
+/// it so a trimmed run never overwrites the committed full-run budget),
+/// else [`results_dir`].
+fn bench_dir() -> PathBuf {
+    match std::env::var("GD_BENCH_DIR") {
+        Ok(d) if !d.is_empty() => PathBuf::from(d),
+        _ => results_dir(),
     }
-    .write();
-    results
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn parse(args: &[&str], env_jobs: Option<&str>) -> Result<SweepOpts, String> {
-        let args: Vec<String> = args.iter().map(|a| (*a).to_string()).collect();
-        SweepOpts::parse(&args, env_jobs)
-    }
-
-    #[test]
-    fn sweep_flags_parse_and_flag_beats_env() {
-        let o = parse(
-            &["--jobs", "3", "--requests", "50", "--strict-validate"],
-            None,
-        )
-        .unwrap();
-        assert_eq!((o.jobs, o.requests, o.jobs_explicit), (3, Some(50), true));
-        let o = parse(&[], Some("2")).unwrap();
-        assert_eq!((o.jobs, o.jobs_explicit), (2, true));
-        assert_eq!(parse(&["--jobs", "5"], Some("2")).unwrap().jobs, 5);
-        let o = parse(&["--memspec", "ddr5"], None).unwrap();
-        assert_eq!((o.requests, o.jobs_explicit), (None, false));
-    }
 
     #[test]
     fn serial_and_parallel_agree_in_order() {

@@ -1,4 +1,4 @@
-//! `--telemetry <path>` wiring for the figure/table binaries.
+//! `--telemetry <path>` wiring for the `gd-bench` figures.
 //!
 //! Each sweep point runs with its own [`Telemetry`] shard (points share no
 //! mutable state, so shards need no locking); the harness merges the
@@ -11,67 +11,45 @@
 use gd_obs::{Telemetry, Trace, Value};
 use gd_types::SimTime;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::Path;
 
-/// Parsed telemetry options of a figure binary.
-#[derive(Debug, Clone, Default)]
-pub struct TelemetryOpts {
-    /// Where to write the merged JSONL trace; `None` disables telemetry
-    /// entirely (simulation code then skips all instrumentation).
-    pub path: Option<PathBuf>,
+/// One labelled telemetry shard; `None` when telemetry is off or the
+/// point produced nothing.
+pub type Shard = (String, Option<Telemetry>);
+
+/// The telemetry a sweep point hands back, labelled under the point's
+/// label when the driver merges the shards.
+pub trait PointShards {
+    /// Appends this point's shards to `out`, labelled under `label`.
+    fn push_under(self, label: &str, out: &mut Vec<Shard>);
 }
 
-impl TelemetryOpts {
-    /// Parses `--telemetry PATH` from the process arguments (also honoring
-    /// a `GD_TELEMETRY` environment override), ignoring flags it does not
-    /// know about so it composes with the other `from_args` parsers.
-    pub fn from_args() -> Self {
-        let mut opts = TelemetryOpts::default();
-        if let Ok(p) = std::env::var("GD_TELEMETRY") {
-            if !p.is_empty() {
-                opts.path = Some(PathBuf::from(p));
-            }
-        }
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            if args[i] == "--telemetry" {
-                if let Some(p) = args.get(i + 1) {
-                    opts.path = Some(PathBuf::from(p));
-                    i += 1;
-                }
-            }
-            i += 1;
-        }
-        opts
+/// A point's single shard takes the point's label.
+impl PointShards for Option<Telemetry> {
+    fn push_under(self, label: &str, out: &mut Vec<Shard>) {
+        out.push((label.to_string(), self));
     }
+}
 
-    /// True when a telemetry sink was requested.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.path.is_some()
+/// A point's several shards are labelled `<point label>/<shard label>`.
+impl PointShards for Vec<Shard> {
+    fn push_under(self, label: &str, out: &mut Vec<Shard>) {
+        out.extend(
+            self.into_iter()
+                .map(|(sub, tele)| (format!("{label}/{sub}"), tele)),
+        );
     }
+}
 
-    /// A fresh per-point shard, or `None` when telemetry is off.
-    #[must_use]
-    pub fn shard(&self) -> Option<Telemetry> {
-        self.enabled().then(Telemetry::new)
-    }
-
-    /// Merges labelled shards in the given (point) order and writes the
-    /// JSONL file. Shards that are `None` (telemetry off, or a point that
-    /// produced nothing) are skipped. Prints a warning (but does not fail
-    /// the figure) if the write is impossible; no-op when disabled.
-    pub fn write(&self, shards: &[(String, Option<Telemetry>)]) {
-        let Some(path) = &self.path else {
-            return;
-        };
-        let payload = render_shards(shards);
-        let write = std::fs::File::create(path).and_then(|mut f| f.write_all(payload.as_bytes()));
-        match write {
-            Ok(()) => println!("[telemetry -> {}]", path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-        }
+/// Merges labelled shards in the given (point) order and writes the JSONL
+/// file, announcing it on stderr. Shards that are `None` are skipped.
+/// Prints a warning (but does not fail the figure) if the write is
+/// impossible.
+pub fn write(path: &Path, shards: &[Shard]) {
+    let payload = render_shards(shards);
+    match std::fs::File::create(path).and_then(|mut f| f.write_all(payload.as_bytes())) {
+        Ok(()) => eprintln!("[telemetry -> {}]", path.display()),
+        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
 }
 
@@ -80,7 +58,7 @@ impl TelemetryOpts {
 /// the wrapper is structural, not temporal — each shard's own events carry
 /// the real sim times).
 #[must_use]
-pub fn render_shards(shards: &[(String, Option<Telemetry>)]) -> String {
+pub fn render_shards(shards: &[Shard]) -> String {
     let mut out = String::new();
     for (label, tele) in shards {
         let Some(tele) = tele else {
@@ -106,11 +84,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_opts_produce_no_shards() {
-        let opts = TelemetryOpts::default();
-        assert!(!opts.enabled());
-        assert!(opts.shard().is_none());
-        opts.write(&[]); // must be a silent no-op
+    fn point_shards_are_labelled_under_the_point() {
+        let mut out = Vec::new();
+        Some(Telemetry::new()).push_under("p0", &mut out);
+        vec![("s1".to_string(), None), ("s2".to_string(), None)].push_under("p1", &mut out);
+        let labels: Vec<&str> = out.iter().map(|(l, _)| l.as_str()).collect();
+        assert_eq!(labels, ["p0", "p1/s1", "p1/s2"]);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 # Every step must pass; the first failure aborts with a nonzero exit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+tree_before=$(git status --porcelain)
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -41,29 +42,23 @@ cargo test --quiet --release --test engine_equivalence
 echo "==> telemetry determinism (byte-identical across engines and job counts)"
 cargo test --quiet --release --test engine_equivalence telemetry
 
-# Every run below redirects the timing sidecar (GD_BENCH_DIR) so neither
-# the staleness checks nor the trimmed smoke configs overwrite the committed
-# full-run budgets in results/.
+# Every run below redirects the timing sidecar (GD_BENCH_DIR) so the
+# trimmed smoke configs never overwrite the committed full-run budgets in
+# results/.
 export GD_BENCH_DIR=/tmp/gd_bench.ci
 rm -rf "$GD_BENCH_DIR"
+gd_bench() { cargo run --quiet --release -p gd-bench -- "$@"; }
 
-echo "==> snapshot staleness (fig05 regenerated at HEAD must match the committed snapshot)"
-# Only the sidecar announcement line differs, because GD_BENCH_DIR is
-# redirected.
-cargo run --quiet --release -p gd-bench --bin fig05_addrmap > /tmp/fig05_addrmap.ci.txt
-diff -u <(grep -v '^\[timing ->' results/fig05_addrmap.txt) \
-        <(grep -v '^\[timing ->' /tmp/fig05_addrmap.ci.txt) || {
-  echo "ERROR: results/fig05_addrmap.txt is stale — regenerate results/*.txt and commit" >&2
-  exit 1
-}
-rm -f /tmp/fig05_addrmap.ci.txt
+echo "==> snapshot staleness (every figure but fig14 regenerated at HEAD must match results/ byte for byte)"
+# fig14's full 1000-host run is too slow for CI; its jobs-identity smoke
+# below stands in for it.
+gd_bench regen --check $(gd_bench list | grep -v fig14_fleet_energy)
 
 echo "==> sweep smoke (fig03, --jobs 2, trimmed request count)"
-cargo run --quiet --release -p gd-bench --bin fig03_interleaving -- --jobs 2 --requests 6000 \
-  > /dev/null
+gd_bench run fig03_interleaving --jobs 2 --requests 6000 > /dev/null
 
 echo "==> telemetry smoke (fig03 JSONL dump is non-empty and parseable shape)"
-cargo run --quiet --release -p gd-bench --bin fig03_interleaving -- --jobs 2 --requests 6000 \
+gd_bench run fig03_interleaving --jobs 2 --requests 6000 \
   --telemetry /tmp/fig03_telemetry.ci.jsonl > /dev/null
 test -s /tmp/fig03_telemetry.ci.jsonl || {
   echo "ERROR: --telemetry produced an empty file" >&2
@@ -76,24 +71,19 @@ head -1 /tmp/fig03_telemetry.ci.jsonl | grep -q '^{"type":' || {
 rm -f /tmp/fig03_telemetry.ci.jsonl
 
 echo "==> fault smoke (fig_faults single rate, trimmed seed count)"
-cargo run --quiet --release -p gd-bench --bin fig_faults -- --fault-rate 0.1 --requests 1 \
-  > /dev/null
+gd_bench run fig_faults --fault-rate 0.1 --requests 1 > /dev/null
 
 echo "==> fault equivalence (byte-identical across --jobs 1 vs 4 and stepped vs event engines)"
-cargo run --quiet --release -p gd-bench --bin fig_faults -- --jobs 1 --requests 1 \
-  > /tmp/fig_faults.j1.ci.txt
-cargo run --quiet --release -p gd-bench --bin fig_faults -- --jobs 4 --requests 1 \
-  > /tmp/fig_faults.j4.ci.txt
+gd_bench run fig_faults --jobs 1 --requests 1 > /tmp/fig_faults.j1.ci.txt
+gd_bench run fig_faults --jobs 4 --requests 1 > /tmp/fig_faults.j4.ci.txt
 # The provenance header records the pinned jobs value; everything below it
 # must be byte-identical.
 diff -u <(tail -n +2 /tmp/fig_faults.j1.ci.txt) <(tail -n +2 /tmp/fig_faults.j4.ci.txt) || {
   echo "ERROR: fig_faults output differs between --jobs 1 and --jobs 4" >&2
   exit 1
 }
-cargo run --quiet --release -p gd-bench --bin fig_faults -- --engine stepped --requests 1 \
-  > /tmp/fig_faults.st.ci.txt
-cargo run --quiet --release -p gd-bench --bin fig_faults -- --engine event --requests 1 \
-  > /tmp/fig_faults.ev.ci.txt
+gd_bench run fig_faults --engine stepped --requests 1 > /tmp/fig_faults.st.ci.txt
+gd_bench run fig_faults --engine event --requests 1 > /tmp/fig_faults.ev.ci.txt
 # The provenance header records the engine name; the rows must match.
 diff -u <(tail -n +2 /tmp/fig_faults.st.ci.txt) <(tail -n +2 /tmp/fig_faults.ev.ci.txt) || {
   echo "ERROR: fig_faults output differs between stepped and event-driven engines" >&2
@@ -102,17 +92,13 @@ diff -u <(tail -n +2 /tmp/fig_faults.st.ci.txt) <(tail -n +2 /tmp/fig_faults.ev.
 rm -f /tmp/fig_faults.{j1,j4,st,ev}.ci.txt
 
 echo "==> fleet smoke (fig14, 12 hosts, --jobs 2 vs --jobs 1, telemetry byte-identity)"
-cargo run --quiet --release -p gd-bench --bin fig14_fleet_energy -- \
-  --hosts 12 --requests 8 --jobs 1 --strict-validate \
+gd_bench run fig14_fleet_energy --hosts 12 --requests 12 --jobs 1 --strict-validate \
   --telemetry /tmp/fig14.j1.ci.jsonl > /tmp/fig14.j1.ci.txt
-cargo run --quiet --release -p gd-bench --bin fig14_fleet_energy -- \
-  --hosts 12 --requests 8 --jobs 2 --strict-validate \
+gd_bench run fig14_fleet_energy --hosts 12 --requests 12 --jobs 2 --strict-validate \
   --telemetry /tmp/fig14.j2.ci.jsonl > /tmp/fig14.j2.ci.txt
-# The provenance header records the pinned jobs value and the telemetry
-# announcement echoes the per-run dump path; everything else must be
-# byte-identical, and so must the merged per-host telemetry shards.
-diff -u <(grep -v -e '^# provenance:' -e '^\[telemetry ->' /tmp/fig14.j1.ci.txt) \
-        <(grep -v -e '^# provenance:' -e '^\[telemetry ->' /tmp/fig14.j2.ci.txt) || {
+# The provenance header records the pinned jobs value; everything else
+# must be byte-identical, and so must the merged per-host telemetry shards.
+diff -u <(tail -n +2 /tmp/fig14.j1.ci.txt) <(tail -n +2 /tmp/fig14.j2.ci.txt) || {
   echo "ERROR: fig14 output differs between --jobs 1 and --jobs 2" >&2
   exit 1
 }
@@ -123,55 +109,46 @@ cmp /tmp/fig14.j1.ci.jsonl /tmp/fig14.j2.ci.jsonl || {
 rm -f /tmp/fig14.{j1,j2}.ci.txt /tmp/fig14.{j1,j2}.ci.jsonl
 
 echo "==> memspec smoke (fig09 on the DDR5 backend, trimmed request count)"
-cargo run --quiet --release -p gd-bench --bin fig09_dram_energy -- \
-  --memspec ddr5 --jobs 2 --requests 6000 > /dev/null
+gd_bench run fig09_dram_energy --memspec ddr5 --jobs 2 --requests 6000 > /dev/null
 
-echo "==> memspec DDR4 identity (default fig02 regenerated at HEAD must match the committed snapshot)"
-# fig02 is analytic (no --requests trim), so a default run is cheap and the
-# whole snapshot must be reproducible; only the sidecar announcement line
-# differs because GD_BENCH_DIR is redirected here.
-cargo run --quiet --release -p gd-bench --bin fig02_idle_busy_power > /tmp/fig02.ci.txt
-diff -u <(grep -v '^\[timing ->' results/fig02_idle_busy_power.txt) \
-        <(grep -v '^\[timing ->' /tmp/fig02.ci.txt) || {
-  echo "ERROR: default-backend fig02 no longer matches the committed DDR4 snapshot" >&2
-  exit 1
-}
-rm -f /tmp/fig02.ci.txt
-
-echo "==> bad input (unknown --engine values on every backend and a zero fig14 stride exit 2)"
+echo "==> bad input (unknown, undeclared and malformed flags exit 2 before any simulation)"
 expect_exit_2() {
   local code=0
-  "$@" > /dev/null 2>&1 || code=$?
+  gd_bench "$@" > /dev/null 2>&1 || code=$?
   if [ "$code" -ne 2 ]; then
-    echo "ERROR: '$*' exited $code, expected 2" >&2
+    echo "ERROR: 'gd-bench $*' exited $code, expected 2" >&2
     exit 1
   fi
 }
 # "epoch"-replay is the value of the deleted sampled engine.
 for memspec in ddr4 ddr5 lpddr4-pasr; do
   for engine in bogus "epoch"-replay; do
-    expect_exit_2 cargo run --quiet --release -p gd-bench --bin fig09_dram_energy -- \
-      --memspec "$memspec" --engine "$engine" --requests 6000
+    expect_exit_2 run fig09_dram_energy --memspec "$memspec" --engine "$engine" --requests 6000
   done
 done
-expect_exit_2 cargo run --quiet --release -p gd-bench --bin fig14_fleet_energy -- \
-  --sample-stride 0 --hosts 12 --requests 8
+expect_exit_2 run fig14_fleet_energy --sample-stride 0 --hosts 12 --requests 12
+expect_exit_2 run fig09_dram_energy --stirct-validate
+expect_exit_2 run fig05_addrmap --memspec ddr5
+expect_exit_2 run fig11_perf_overhead --memspec ddr5
+expect_exit_2 run ablation_offthr --engine stepped
+expect_exit_2 run tab01_power_vs_util --engine stepped
+expect_exit_2 run fig14_fleet_energy --telemetry
+expect_exit_2 run fig_faults --fault-rate abc
+expect_exit_2 run fig_faults --fault-rate 7
+expect_exit_2 run fig08_offlining_failures --requests 65
+expect_exit_2 run fig99_unknown
 
 echo "==> fig15 smoke (cross-generation sweep, --jobs 2 vs --jobs 1 and stepped vs event)"
-cargo run --quiet --release -p gd-bench --bin fig15_cross_generation -- \
-  --jobs 1 --requests 6000 > /tmp/fig15.j1.ci.txt
-cargo run --quiet --release -p gd-bench --bin fig15_cross_generation -- \
-  --jobs 2 --requests 6000 > /tmp/fig15.j2.ci.txt
+gd_bench run fig15_cross_generation --jobs 1 --requests 6000 > /tmp/fig15.j1.ci.txt
+gd_bench run fig15_cross_generation --jobs 2 --requests 6000 > /tmp/fig15.j2.ci.txt
 # The provenance header records the pinned jobs value; everything below it
 # must be byte-identical.
 diff -u <(tail -n +2 /tmp/fig15.j1.ci.txt) <(tail -n +2 /tmp/fig15.j2.ci.txt) || {
   echo "ERROR: fig15 output differs between --jobs 1 and --jobs 2" >&2
   exit 1
 }
-cargo run --quiet --release -p gd-bench --bin fig15_cross_generation -- \
-  --engine stepped --requests 6000 > /tmp/fig15.st.ci.txt
-cargo run --quiet --release -p gd-bench --bin fig15_cross_generation -- \
-  --engine event --requests 6000 > /tmp/fig15.ev.ci.txt
+gd_bench run fig15_cross_generation --engine stepped --requests 6000 > /tmp/fig15.st.ci.txt
+gd_bench run fig15_cross_generation --engine event --requests 6000 > /tmp/fig15.ev.ci.txt
 # The provenance header records the engine name; the rows must match.
 diff -u <(tail -n +2 /tmp/fig15.st.ci.txt) <(tail -n +2 /tmp/fig15.ev.ci.txt) || {
   echo "ERROR: fig15 output differs between stepped and event-driven engines" >&2
@@ -186,7 +163,7 @@ echo "==> perf budget (fig03 + fig09 + fig15 full serial regeneration vs committ
 # fail: wall time is machine-dependent, and the committed values are the
 # performance trajectory, not a hard SLA.
 for fig in fig03_interleaving fig09_dram_energy fig15_cross_generation; do
-  cargo run --quiet --release -p gd-bench --bin "$fig" -- --jobs 1 > /dev/null
+  gd_bench run "$fig" --jobs 1 > /dev/null
   budget=$(grep -o '"total_s": [0-9.]*' "results/BENCH_$fig.json" | awk '{print $2}')
   actual=$(grep -o '"total_s": [0-9.]*' "$GD_BENCH_DIR/BENCH_$fig.json" | awk '{print $2}')
   awk -v a="$actual" -v b="$budget" -v f="$fig" 'BEGIN {
@@ -200,5 +177,12 @@ for fig in fig03_interleaving fig09_dram_energy fig15_cross_generation; do
 done
 rm -rf "$GD_BENCH_DIR"
 unset GD_BENCH_DIR
+
+echo "==> working tree untouched (CI writes nothing into the checkout)"
+[ "$(git status --porcelain)" = "$tree_before" ] || {
+  echo "ERROR: CI changed the working tree:" >&2
+  diff <(echo "$tree_before") <(git status --porcelain) >&2
+  exit 1
+}
 
 echo "==> all checks passed"
